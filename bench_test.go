@@ -4,8 +4,10 @@
 // quantities as custom metrics (messages, virtual seconds, ratios), so
 // `go test -bench=. -benchmem` reproduces the entire evaluation.
 //
-// The paper-faithful full-scale runs live in the cmd/ tools; see
-// EXPERIMENTS.md for the side-by-side against the paper's numbers.
+// The paper-faithful full-scale runs live in the cmd/ tools. The paper's
+// claims are checked, not just printed: TestTable4And5Conformance in
+// internal/core runs the Table 4/5 shape checks in tier-1, and
+// `go run ./cmd/microbench -all -check` runs the Table 2/3 ones.
 package main
 
 import (
@@ -690,7 +692,7 @@ func BenchmarkContention(b *testing.B) {
 				iscsiRate = c.Rate
 			}
 		}
-		cl, err := testbed.NewCluster(testbed.ClusterConfig{
+		cl, err := testbed.NewCluster(testbed.Config{
 			Kind:         testbed.NFSv4,
 			Clients:      4,
 			DeviceBlocks: 8192,

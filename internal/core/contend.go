@@ -164,7 +164,7 @@ func runContendCell(cfg ContendConfig, wl string, stack Stack, tr testbed.Transp
 		"clients":  itoa(cfg.Clients),
 		"conns":    itoa(conns),
 	}
-	cl, err := testbed.NewCluster(testbed.ClusterConfig{
+	cl, err := testbed.NewCluster(testbed.Config{
 		Kind:         stack,
 		Clients:      cfg.Clients,
 		DeviceBlocks: cfg.DeviceBlocks,
@@ -201,7 +201,7 @@ func runContendCell(cfg ContendConfig, wl string, stack Stack, tr testbed.Transp
 		return ContendCell{}, fmt.Errorf("unknown contention workload %q", wl)
 	}
 
-	beginClusterCell(cl, nil)
+	beginCell(cl, nil)
 	g0, d0 := shareCounters(cl)
 	t0 := cl.Align()
 	if err := cl.Run(workload.Drivers(steps)); err != nil {
@@ -229,7 +229,7 @@ func runContendCell(cfg ContendConfig, wl string, stack Stack, tr testbed.Transp
 			cell.WaitMax = w
 		}
 	}
-	endClusterCell(cl, nil, map[string]float64{
+	endCell(cl, nil, map[string]float64{
 		"ops_per_sec":   cell.Rate,
 		"ops":           float64(cell.Ops),
 		"elapsed_ns":    float64(cell.Elapsed),

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -36,6 +37,29 @@ func TestTable2Shapes(t *testing.T) {
 			t.Errorf("%s: cold v4 (%d) below v3 (%d)", name, counts[NFSv4], counts[NFSv3])
 		}
 	}
+}
+
+// TestTable4And5Conformance runs the paper's headline data-path and
+// meta-data results (Table 4 at 16 MB, Table 5 at 2% scale, the sizes
+// the root benchmarks use) through their shape checks: every claim must
+// hold. Both tables build on testbed.New, so this also guards the
+// single-client harness end to end.
+func TestTable4And5Conformance(t *testing.T) {
+	t4, err := RunTable4(Options{}, 16<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t5, err := RunTable5(Options{}, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	fails := RenderChecks(&sb, "Table 4 conformance", CheckTable4Shapes(t4))
+	fails += RenderChecks(&sb, "Table 5 conformance", CheckTable5Shapes(t5))
+	if fails > 0 {
+		t.Errorf("%d shape checks failed:\n%s", fails, sb.String())
+	}
+	t.Log(sb.String())
 }
 
 // TestFigure3Monotonic verifies amortized message counts fall with batch

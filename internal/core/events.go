@@ -27,33 +27,19 @@ func itoa(n int) string { return strconv.Itoa(n) }
 // ftoa tags a float axis value ("0.01", not "1e-02").
 func ftoa(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
-// beginCell opens one instrumented measurement window on a testbed:
-// setup-phase deltas are flushed into their own samples, then the begin
-// mark separates them from measured traffic.
-func beginCell(tb *testbed.Testbed, extra metrics.Tags) {
-	tb.EmitSample()
-	tb.Metrics().Mark(tb.Clock.Now(), mergePhase("begin", extra))
+// beginCell opens one instrumented measurement window on a cluster (a
+// Testbed passes its embedded Cluster): setup-phase deltas are flushed
+// into their own samples, then the begin mark separates them from
+// measured traffic. Every event is stamped at the cluster horizon.
+func beginCell(cl *testbed.Cluster, extra metrics.Tags) {
+	cl.EmitSample()
+	cl.Metrics().Mark(cl.Horizon(), mergePhase("begin", extra))
 }
 
 // endCell closes the window: measured deltas are sampled, the cell's
 // derived results (if any) land as a point event, and the end mark
 // delimits the cell.
-func endCell(tb *testbed.Testbed, extra metrics.Tags, results map[string]float64) {
-	tb.EmitSample()
-	if len(results) > 0 {
-		tb.Metrics().Point(tb.Clock.Now(), metrics.SubsysRun, extra, results)
-	}
-	tb.Metrics().Mark(tb.Clock.Now(), mergePhase("end", extra))
-}
-
-// beginClusterCell / endClusterCell are the cluster-shaped versions of the
-// same window protocol, stamped at the cluster horizon.
-func beginClusterCell(cl *testbed.Cluster, extra metrics.Tags) {
-	cl.EmitSample()
-	cl.Metrics().Mark(cl.Horizon(), mergePhase("begin", extra))
-}
-
-func endClusterCell(cl *testbed.Cluster, extra metrics.Tags, results map[string]float64) {
+func endCell(cl *testbed.Cluster, extra metrics.Tags, results map[string]float64) {
 	cl.EmitSample()
 	if len(results) > 0 {
 		cl.Metrics().Point(cl.Horizon(), metrics.SubsysRun, extra, results)

@@ -160,7 +160,7 @@ func runFaultCell(cfg FaultConfig, f fault.Family, stack Stack, tr testbed.Trans
 			return FaultCell{}, err
 		}
 	}
-	cl, err := testbed.NewCluster(testbed.ClusterConfig{
+	cl, err := testbed.NewCluster(testbed.Config{
 		Kind:         stack,
 		Clients:      cfg.Clients,
 		DeviceBlocks: cfg.DeviceBlocks,
@@ -190,11 +190,11 @@ func runFaultCell(cfg FaultConfig, f fault.Family, stack Stack, tr testbed.Trans
 		return FaultCell{}, err
 	}
 
-	beginClusterCell(cl, nil)
+	beginCell(cl, nil)
 	res, err := fault.Run(cl, fault.Config{Plan: plan})
 	if err != nil {
 		if errors.Is(err, simnet.ErrTransportBroken) {
-			endClusterCell(cl, nil, map[string]float64{"collapsed": 1})
+			endCell(cl, nil, map[string]float64{"collapsed": 1})
 			axes.Collapsed = true
 			return axes, nil
 		}
@@ -209,10 +209,10 @@ func runFaultCell(cfg FaultConfig, f fault.Family, stack Stack, tr testbed.Trans
 	cell.RebuildBlocks, cell.Retransmits, cell.Dropped = res.RebuildBlocks, res.Retransmits, res.Dropped
 	cell.Collapsed = res.Collapsed
 	if cell.Collapsed {
-		endClusterCell(cl, nil, map[string]float64{"collapsed": 1})
+		endCell(cl, nil, map[string]float64{"collapsed": 1})
 		return cell, nil
 	}
-	endClusterCell(cl, nil, map[string]float64{
+	endCell(cl, nil, map[string]float64{
 		"ttr_ns":               float64(cell.TTR),
 		"inject_ns":            float64(cell.Inject),
 		"recovered_ns":         float64(cell.Recovered),

@@ -189,7 +189,7 @@ func runHealthCell(cfg HealthConfig, f fault.Family, stack Stack, tr testbed.Tra
 	if err != nil {
 		return HealthCell{}, err
 	}
-	cl, err := testbed.NewCluster(testbed.ClusterConfig{
+	cl, err := testbed.NewCluster(testbed.Config{
 		Kind:         stack,
 		Clients:      cfg.Clients,
 		DeviceBlocks: cfg.DeviceBlocks,
@@ -219,11 +219,11 @@ func runHealthCell(cfg HealthConfig, f fault.Family, stack Stack, tr testbed.Tra
 		return HealthCell{}, err
 	}
 
-	beginClusterCell(cl, nil)
+	beginCell(cl, nil)
 	res, err := fault.Run(cl, fault.Config{Plan: plan, Cooldown: cfg.Cooldown, DryRun: control})
 	if err != nil {
 		if errors.Is(err, simnet.ErrTransportBroken) {
-			endClusterCell(cl, nil, map[string]float64{"collapsed": 1})
+			endCell(cl, nil, map[string]float64{"collapsed": 1})
 			axes.Collapsed = true
 			return axes, nil
 		}
@@ -267,7 +267,7 @@ func runHealthCell(cfg HealthConfig, f fault.Family, stack Stack, tr testbed.Tra
 			results["collapsed"] = 1
 		}
 	}
-	endClusterCell(cl, nil, results)
+	endCell(cl, nil, results)
 	return cell, nil
 }
 

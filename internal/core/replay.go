@@ -187,7 +187,7 @@ func runReplayCell(cfg ReplayConfig, name string, recs []trace.Record,
 	if stack == ISCSI && tr == testbed.TransportTCP {
 		conns = cfg.Conns
 	}
-	cl, err := testbed.NewCluster(testbed.ClusterConfig{
+	cl, err := testbed.NewCluster(testbed.Config{
 		Kind:         stack,
 		Clients:      cfg.Clients,
 		DeviceBlocks: dev,
@@ -206,7 +206,7 @@ func runReplayCell(cfg ReplayConfig, name string, recs []trace.Record,
 	if maxOps < 0 {
 		maxOps = 0 // replay.Options spells "everything" as 0
 	}
-	beginClusterCell(cl, nil)
+	beginCell(cl, nil)
 	res, err := replay.Run(cl, recs, replay.Options{DirMod: cfg.DirMod, MaxOps: maxOps})
 	if err != nil {
 		return ReplayCell{}, err
@@ -219,7 +219,7 @@ func runReplayCell(cfg ReplayConfig, name string, recs []trace.Record,
 		cl.Metrics().Emit(cl.Horizon(), metrics.SubsysHist, metrics.KindSample,
 			nil, metrics.LatencyHistogram(lats), nil)
 	}
-	endClusterCell(cl, nil, map[string]float64{
+	endCell(cl, nil, map[string]float64{
 		"ops":         float64(len(res.Ops)),
 		"elapsed_ns":  float64(res.Elapsed),
 		"p50_ns":      float64(res.P50),

@@ -177,7 +177,7 @@ func (cal calibration) demand(cfg ScaleConfig, wl string, stack Stack, n int) (f
 	if d, ok := cal[key]; ok {
 		return d, nil
 	}
-	cl, err := testbed.NewCluster(testbed.ClusterConfig{
+	cl, err := testbed.NewCluster(testbed.Config{
 		Kind:            stack,
 		Clients:         1,
 		DeviceBlocks:    exportBlocks(cfg.DeviceBlocks, stack, n),
@@ -310,7 +310,7 @@ func runScaleCell(cfg ScaleConfig, wl string, stack Stack, n int, cal calibratio
 		cohorts = []fleet.Cohort{{Clients: n - k, Demand: dem}}
 		cellTags["background"] = itoa(n - k)
 	}
-	cl, err := testbed.NewCluster(testbed.ClusterConfig{
+	cl, err := testbed.NewCluster(testbed.Config{
 		Kind:            stack,
 		Clients:         k,
 		DeviceBlocks:    exportBlocks(cfg.DeviceBlocks, stack, n),
@@ -330,7 +330,7 @@ func runScaleCell(cfg ScaleConfig, wl string, stack Stack, n int, cal calibratio
 	}
 
 	// Measured window: interleaved run, then drain to quiescence.
-	beginClusterCell(cl, nil)
+	beginCell(cl, nil)
 	before := cl.Snap()
 	startOps := make([]int64, k)
 	startT := make([]time.Duration, k)
@@ -387,7 +387,7 @@ func runScaleCell(cfg ScaleConfig, wl string, stack Stack, n int, cal calibratio
 		rho := op.BackgroundUtil[fleet.StationCPU]
 		cell.ServerCPU = cell.ServerCPU + rho*(1-cell.ServerCPU)
 	}
-	endClusterCell(cl, nil, map[string]float64{
+	endCell(cl, nil, map[string]float64{
 		"elapsed_ns":            float64(cell.Elapsed),
 		"agg_bytes_per_sec":     cell.AggBytesPerSec,
 		"agg_ops_per_sec":       cell.AggOpsPerSec,

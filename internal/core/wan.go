@@ -278,7 +278,7 @@ func runWANCell(cfg WANConfig, wl, mix string, q netqueue.Discipline,
 			return WANCell{}, err
 		}
 	}
-	cl, err := testbed.NewCluster(testbed.ClusterConfig{
+	cl, err := testbed.NewCluster(testbed.Config{
 		Kind:         stack,
 		Clients:      n,
 		DeviceBlocks: dev,
@@ -363,7 +363,7 @@ func runWANCell(cfg WANConfig, wl, mix string, q netqueue.Discipline,
 	}
 
 	// Measured window: interleaved run, then drain to quiescence.
-	beginClusterCell(cl, nil)
+	beginCell(cl, nil)
 	cl.Link.RearmDepth() // window-scoped peak backlog, setup excluded
 	before := cl.Snap()
 	linkBefore := cl.Link.Stats()
@@ -389,7 +389,7 @@ func runWANCell(cfg WANConfig, wl, mix string, q netqueue.Discipline,
 	}
 	if err != nil {
 		if collapsed(err) {
-			endClusterCell(cl, nil, map[string]float64{"collapsed": 1})
+			endCell(cl, nil, map[string]float64{"collapsed": 1})
 			axes.Collapsed = true
 			return axes, nil
 		}
@@ -410,7 +410,7 @@ func runWANCell(cfg WANConfig, wl, mix string, q netqueue.Discipline,
 	cell.QueueDrops = link.Drops() - linkBefore.Drops()
 	cell.HOLWait = link.HOLWait() - linkBefore.HOLWait()
 	cell.MaxDepthBytes = cl.Link.DepthHighWater()
-	endClusterCell(cl, nil, map[string]float64{
+	endCell(cl, nil, map[string]float64{
 		"elapsed_ns":            float64(cell.Elapsed),
 		"agg_bytes_per_sec":     cell.AggBytesPerSec,
 		"per_client_latency_ns": float64(cell.PerClientLatency),

@@ -13,7 +13,7 @@ import (
 
 func newCluster(t *testing.T, kind testbed.Kind, tr testbed.Transport, rec *metrics.Recorder) *testbed.Cluster {
 	t.Helper()
-	cl, err := testbed.NewCluster(testbed.ClusterConfig{
+	cl, err := testbed.NewCluster(testbed.Config{
 		Kind:         kind,
 		Clients:      2,
 		DeviceBlocks: 16384, // 64 MB: a rebuild finishes inside the run

@@ -23,7 +23,7 @@ func healthRun(t *testing.T, f fault.Family, withHealth, dryRun bool) ([]byte, *
 			t.Fatal(err)
 		}
 	}
-	cl, err := testbed.NewCluster(testbed.ClusterConfig{
+	cl, err := testbed.NewCluster(testbed.Config{
 		Kind:         testbed.NFSv3,
 		Clients:      2,
 		DeviceBlocks: 16384,

@@ -71,7 +71,7 @@ func runOracle(t *testing.T, p trace.Profile, clients int, opt Options) oracleCe
 	}
 	sim := trace.SimulateDelegation(folded)
 
-	cl, err := testbed.NewCluster(testbed.ClusterConfig{
+	cl, err := testbed.NewCluster(testbed.Config{
 		Kind:         testbed.NFSv4,
 		Clients:      clients,
 		DeviceBlocks: 16384,
@@ -168,7 +168,7 @@ func TestDelegationReducesMessages(t *testing.T) {
 		if deleg {
 			sh = &testbed.SharingConfig{Delegation: true}
 		}
-		cl, err := testbed.NewCluster(testbed.ClusterConfig{
+		cl, err := testbed.NewCluster(testbed.Config{
 			Kind:         testbed.NFSv4,
 			Clients:      4,
 			DeviceBlocks: 16384,

@@ -35,7 +35,7 @@ func testTrace(t *testing.T) []trace.Record {
 // newTestCluster builds a small replay cluster.
 func newTestCluster(t *testing.T, kind testbed.Kind, tr testbed.Transport) *testbed.Cluster {
 	t.Helper()
-	cl, err := testbed.NewCluster(testbed.ClusterConfig{
+	cl, err := testbed.NewCluster(testbed.Config{
 		Kind:         kind,
 		Clients:      3,
 		DeviceBlocks: 16384,

@@ -10,10 +10,10 @@ import (
 
 // Client is one simulated client machine: its own virtual clock and CPU, a
 // mounted protocol stack, and the clock-advancing syscall surface the
-// workloads drive. A Testbed embeds one Client; a Cluster holds N of them
-// sharing the server-side hardware.
+// workloads drive. A Cluster holds N of them sharing the server-side
+// hardware; a Testbed is a Cluster with one.
 type Client struct {
-	// ID distinguishes clients within a cluster (0 in a single testbed).
+	// ID distinguishes clients within a cluster (0 in a Testbed).
 	ID int
 	// Clock is this client's timeline.
 	Clock *sim.Clock
@@ -74,21 +74,6 @@ func (c *Client) Drain() error {
 		return err
 	}
 	c.Clock.AdvanceTo(done)
-	return nil
-}
-
-// ColdCache empties every cache the client's stack controls (client
-// remount plus server restart for NFS) after draining.
-func (c *Client) ColdCache() error {
-	if err := c.Drain(); err != nil {
-		return err
-	}
-	done, err := c.Stack.ColdCache(c.Clock.Now())
-	if err != nil {
-		return err
-	}
-	c.Clock.AdvanceTo(done)
-	c.syncFS()
 	return nil
 }
 

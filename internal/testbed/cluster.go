@@ -16,6 +16,7 @@ import (
 	"repro/internal/scsi"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/sunrpc"
 	"repro/internal/tracing"
 )
 
@@ -29,89 +30,9 @@ type ClientNet struct {
 	LossRate float64
 }
 
-// ClusterConfig parameterizes a multi-client testbed: N client machines
-// driving one server over a shared Gigabit segment.
-type ClusterConfig struct {
-	Kind Kind
-	// Clients is the number of concurrent client machines (default 1).
-	Clients int
-	// DeviceBlocks sizes each client's iSCSI LUN, or the shared NFS
-	// export, in 4 KB blocks (default 524288 = 2 GB).
-	DeviceBlocks int64
-	// RTT overrides the LAN round-trip time.
-	RTT time.Duration
-	// LossRate injects frame loss on every client's path (failure and
-	// WAN testing; per-client overrides via PerClient).
-	LossRate float64
-	// CommitInterval overrides ext3's journal commit interval (5 s).
-	CommitInterval time.Duration
-	// ClientCacheBlocks / ServerCacheBlocks bound the caches.
-	ClientCacheBlocks int
-	ServerCacheBlocks int
-	// Seed for loss injection and workloads.
-	Seed int64
-	// Transport selects the wire model every client uses; Conns and
-	// WindowBytes parameterize TransportTCP (see Config).
-	Transport   Transport
-	Conns       int
-	WindowBytes int
-	// Shared, when non-nil, multiplexes every client's traffic through
-	// one capacity-limited bottleneck (see internal/netqueue): each
-	// client gets its own simnet network — carrying its RTT and loss —
-	// admitted through one shared drop-tail (or fair-queued) pipe, so
-	// N-client saturation comes from the wire, not per-client pipeline
-	// depth. Nil keeps today's independent-links model byte-identically.
-	Shared *netqueue.Config
-	// PerClient gives client i its own RTT/loss (stragglers). Entries
-	// beyond it, and zero fields, inherit the cluster defaults. Setting
-	// it switches the cluster to per-client networks even without a
-	// Shared bottleneck, and tags each client's metric sources with its
-	// rtt/loss so straggler attribution is a -by client query.
-	PerClient []ClientNet
-	// Metrics, when non-nil, receives the cluster's telemetry: shared
-	// hardware and per-client protocol sources are registered at
-	// construction and EmitSample streams the deltas (see docs/METRICS.md).
-	Metrics *metrics.Recorder
-	// Background, when non-empty, adds fluid client cohorts: their
-	// calibrated demand is solved to a fleet operating point
-	// (internal/fleet) and injected as background load on the server CPU,
-	// the array and the shared bottleneck link, so the Clients mechanistic
-	// clients run against residual capacity. Fleet-level aggregates stream
-	// as metrics.SubsysFleet counters.
-	Background []fleet.Cohort
-	// CapacityClients sizes the iSCSI storage array as if this many
-	// clients attached (default Clients plus the Background population),
-	// so a hybrid run's mechanistic LUNs see the seek distances a full
-	// mechanistic fleet would. (The NFS export is sized by DeviceBlocks
-	// directly; scale that instead.)
-	CapacityClients int
-	// TelemetryFanIn bounds per-client metric sources: above it, only a
-	// stratified sample of clients per heterogeneity stratum registers
-	// sources, tagged sampled/population/sample so summaries re-weight
-	// (docs/METRICS.md). 0 means DefaultTelemetryFanIn; negative disables
-	// sampling and registers every client.
-	TelemetryFanIn int
-	// Tracer, when non-nil, threads virtual-time span tracing through
-	// every client's stack and the shared hardware; root spans carry the
-	// issuing client's id (see docs/TRACING.md). The scheduler runs one
-	// client's syscall to completion per step, so one tracer serves all.
-	Tracer *tracing.Tracer
-	// Health, when non-nil, attaches a virtual-time health monitor: the
-	// cluster registers its per-station gauge sources on it (see
-	// gauges.go) and Run spawns its scrape loop alongside the drivers,
-	// so gauge and alert events stream through Metrics in virtual time
-	// (docs/HEALTH.md). Alert state is per-monitor, so give each
-	// experiment cell its own. Nil is the inert state: no gauge sources,
-	// no scrape process, byte-identical streams.
-	Health *health.Monitor
-	// Sharing, when non-nil, enables cross-client sharing: an NFS
-	// cluster gets a server-side byte-range lock manager (and, with
-	// Delegation, the v4 lease machinery); an iSCSI cluster gets one
-	// extra raw LUN exported by every client's target under a shared
-	// persistent-reservation table (see sharing.go). Nil keeps all
-	// existing configurations byte-identical.
-	Sharing *SharingConfig
-}
+// ClusterConfig is an alias of Config, kept for callers that spell the
+// cluster-shaped name.
+type ClusterConfig = Config
 
 // DefaultTelemetryFanIn is the per-stratum client-source limit above which
 // a cluster's telemetry switches to stratified sampling. It is comfortably
@@ -119,66 +40,12 @@ type ClusterConfig struct {
 // only engages on fleet-scale runs.
 const DefaultTelemetryFanIn = 64
 
-// validateCluster rejects unusable cluster-only parameters (base
-// parameters are checked by Config.validate).
-func (c *ClusterConfig) validateCluster() error {
-	if len(c.PerClient) > c.Clients {
-		return fmt.Errorf("testbed: %d PerClient entries for %d clients", len(c.PerClient), c.Clients)
-	}
-	for i, p := range c.PerClient {
-		if p.RTT < 0 {
-			return fmt.Errorf("testbed: client %d negative RTT", i)
-		}
-		if p.LossRate < 0 || p.LossRate >= 1 {
-			return fmt.Errorf("testbed: client %d loss rate %g out of [0, 1)", i, p.LossRate)
-		}
-	}
-	for _, co := range c.Background {
-		if err := co.Validate(); err != nil {
-			return err
-		}
-	}
-	if c.Sharing != nil {
-		if err := c.Sharing.validate(c.Kind); err != nil {
-			return err
-		}
-	}
-	if c.Shared != nil {
-		return c.Shared.Validate()
-	}
-	return nil
-}
-
-// base converts to a single-client Config carrying the shared knobs.
-func (c *ClusterConfig) base() Config {
-	b := Config{
-		Kind:              c.Kind,
-		DeviceBlocks:      c.DeviceBlocks,
-		RTT:               c.RTT,
-		LossRate:          c.LossRate,
-		CommitInterval:    c.CommitInterval,
-		ClientCacheBlocks: c.ClientCacheBlocks,
-		ServerCacheBlocks: c.ServerCacheBlocks,
-		Seed:              c.Seed,
-		Transport:         c.Transport,
-		Conns:             c.Conns,
-		WindowBytes:       c.WindowBytes,
-		Tracer:            c.Tracer,
-	}
-	b.fill()
-	c.DeviceBlocks = b.DeviceBlocks
-	if c.Clients <= 0 {
-		c.Clients = 1
-	}
-	return b
-}
-
 // Cluster is N concurrent clients sharing one server: one network segment,
 // one server CPU and one RAID-5 array. NFS clients mount the same export;
 // iSCSI clients each own a LUN partition of the shared array.
 type Cluster struct {
 	Kind Kind
-	Cfg  ClusterConfig
+	Cfg  Config
 
 	// Net is the shared segment in independent-links mode; nil when
 	// per-client networks are in play (a Shared bottleneck or PerClient
@@ -207,31 +74,10 @@ type Cluster struct {
 	health *health.Monitor // nil unless Cfg.Health was set
 }
 
-// clientNetCfg derives client i's network parameters from the base
-// config plus its PerClient override.
-func (c *ClusterConfig) clientNetCfg(base Config, i int) Config {
-	cc := base
-	// Decorrelate per-client loss RNGs (one shared network draws from a
-	// single stream; N networks must not mirror each other).
-	cc.Seed = base.Seed + int64(i+1)*7919
-	if i < len(c.PerClient) {
-		if p := c.PerClient[i]; p.RTT > 0 {
-			cc.RTT = p.RTT
-		}
-		if p := c.PerClient[i]; p.LossRate > 0 {
-			cc.LossRate = p.LossRate
-		}
-	}
-	return cc
-}
-
 // NewCluster builds and mounts an N-client cluster.
-func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	base := cfg.base()
-	if err := base.validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.validateCluster(); err != nil {
+func NewCluster(cfg Config) (*Cluster, error) {
+	cfg.fill()
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	cl := &Cluster{
@@ -247,14 +93,14 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		// bottleneck (if any) couples their serialization.
 		cl.nets = make([]*simnet.Network, cfg.Clients)
 		for i := range cl.nets {
-			n := cfg.clientNetCfg(base, i).network()
+			n := cfg.clientNetwork(i)
 			if cl.Link != nil {
 				n.AttachShared(cl.Link.Endpoint(netqueue.EndpointConfig{}))
 			}
 			cl.nets[i] = n
 		}
 	} else {
-		cl.Net = base.network()
+		cl.Net = cfg.network()
 		cl.nets = []*simnet.Network{cl.Net}
 	}
 	if cfg.Tracer != nil {
@@ -282,14 +128,14 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			nluns++
 			arrayCap++
 		}
-		cl.luns = blockdev.NewClusterArraySized(nluns, base.DeviceBlocks, arrayCap)
+		cl.luns = blockdev.NewClusterArraySized(nluns, cfg.DeviceBlocks, arrayCap)
 		if cfg.Sharing != nil {
 			cl.shared = cl.luns[nluns-1]
 			cl.luns = cl.luns[:cfg.Clients]
 			cl.rsv = scsi.NewReservations()
 		}
 		for i, lun := range cl.luns {
-			if _, err := ext3.Mkfs(0, lun, ext3.Options{CommitInterval: base.CommitInterval}); err != nil {
+			if _, err := ext3.Mkfs(0, lun, ext3.Options{CommitInterval: cfg.CommitInterval}); err != nil {
 				return nil, fmt.Errorf("testbed: cluster mkfs lun %d: %w", i, err)
 			}
 		}
@@ -298,14 +144,14 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			cl.luns[0].RAID().SetTracer(cfg.Tracer)
 		}
 	default:
-		cl.dev = blockdev.NewTestbedArray(base.DeviceBlocks)
-		if _, err := ext3.Mkfs(0, cl.dev, ext3.Options{CommitInterval: base.CommitInterval}); err != nil {
+		cl.dev = blockdev.NewTestbedArray(cfg.DeviceBlocks)
+		if _, err := ext3.Mkfs(0, cl.dev, ext3.Options{CommitInterval: cfg.CommitInterval}); err != nil {
 			return nil, fmt.Errorf("testbed: cluster mkfs: %w", err)
 		}
 		if cfg.Tracer != nil {
 			cl.dev.RAID().SetTracer(cfg.Tracer)
 		}
-		cl.srv = &nfsServer{dev: cl.dev, cpu: cl.ServerCPU, cfg: base}
+		cl.srv = &nfsServer{dev: cl.dev, cpu: cl.ServerCPU, cfg: cfg}
 		done, err := cl.srv.mount(0)
 		if err != nil {
 			return nil, err
@@ -337,7 +183,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		if cfg.Tracer != nil {
 			cpu.SetTracer(cfg.Tracer, tracing.LayerCPUClient)
 		}
-		h := hw{net: cl.ClientNetwork(i), cpu: cpu, cfg: base}
+		h := hw{net: cl.ClientNetwork(i), cpu: cpu, cfg: cfg}
 		var st Stack
 		if cfg.Kind == ISCSI {
 			name := fmt.Sprintf("iqn.2004.repro:vol%d", i)
@@ -366,7 +212,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		cl.Clients = append(cl.Clients, c)
 	}
-	cl.rec = cfg.Metrics.With(metrics.Tags{"transport": base.Transport.String()})
+	cl.rec = cfg.Metrics.With(metrics.Tags{"transport": cfg.Transport.String()})
 	cl.instrument()
 	cl.attachHealth(cfg.Health)
 	return cl, nil
@@ -656,10 +502,12 @@ func (cl *Cluster) Drain() error {
 	return nil
 }
 
-// ColdCache empties every cache in the cluster: all clients drain and
-// remount, and the NFS server (if any) restarts exactly once. The
-// quiesced pre-reset counters are flushed into a sample before any
-// protocol client is rebuilt (see Testbed.ColdCache).
+// ColdCache empties every cache in the cluster, the protocol the paper
+// uses before each cold-cache measurement (Section 4.1): all clients
+// drain, the NFS server (if any) restarts exactly once, and every client
+// then unmounts and remounts its stack. The quiesced pre-reset counters
+// are flushed into a sample first, so the rebuild (which re-zeroes
+// protocol clients) can never lose deltas.
 func (cl *Cluster) ColdCache() error {
 	if err := cl.Drain(); err != nil {
 		return err
@@ -672,35 +520,53 @@ func (cl *Cluster) ColdCache() error {
 	// flush above).
 	cl.health.Scrape(cl.Horizon())
 	if cl.srv != nil {
-		// One server restart, then every client drops caches and
-		// re-mounts against the fresh export.
-		now := cl.Align()
-		done, err := cl.srv.restart(now)
+		done, err := cl.srv.restart(cl.Horizon())
 		if err != nil {
 			return err
 		}
 		for _, c := range cl.Clients {
 			c.Clock.AdvanceTo(done)
-			st := c.Stack.(*nfsStack)
-			d2, err := st.remount(c.Clock.Now())
-			if err != nil {
-				return err
-			}
-			c.Clock.AdvanceTo(d2)
-			c.syncFS()
 		}
-	} else {
-		for _, c := range cl.Clients {
-			done, err := c.Stack.ColdCache(c.Clock.Now())
-			if err != nil {
-				return err
-			}
-			c.Clock.AdvanceTo(done)
-			c.syncFS()
+	}
+	for _, c := range cl.Clients {
+		done, err := c.Stack.ColdCache(c.Clock.Now())
+		if err != nil {
+			return err
 		}
+		c.Clock.AdvanceTo(done)
+		c.syncFS()
 	}
 	cl.Align()
 	return nil
+}
+
+// SetRTT adjusts every client's network latency mid-run (the NISTNet
+// knob of Figure 6).
+func (cl *Cluster) SetRTT(rtt time.Duration) {
+	for _, n := range cl.nets {
+		n.SetRTT(rtt)
+	}
+}
+
+// Snapshot captures every counter for delta measurement.
+type Snapshot struct {
+	Net                    metrics.NetStats
+	Disk                   metrics.DiskStats
+	RPC                    sunrpc.Stats
+	ClientBusy, ServerBusy time.Duration
+	Time                   time.Duration
+}
+
+// Delta is the difference between two snapshots: one measurement window.
+type Delta struct {
+	Messages    int64
+	Frames      int64
+	Bytes       int64
+	Retransmits int64
+	DiskOps     int64
+	Elapsed     time.Duration
+	ClientBusy  time.Duration
+	ServerBusy  time.Duration
 }
 
 // Snap captures cluster-wide counters: network traffic summed over every
@@ -722,14 +588,24 @@ func (cl *Cluster) Snap() Snapshot {
 	}
 	for _, c := range cl.Clients {
 		s.ClientBusy += c.CPU.Busy()
-		r := c.Stack.Counters().RPC
-		s.RPC.Calls += r.Calls
-		s.RPC.Retransmits += r.Retransmits
-		s.RPC.Timeouts += r.Timeouts
-		s.RPC.Failures += r.Failures
+		s.RPC.Add(c.Stack.Counters().RPC)
 	}
 	return s
 }
 
-// Since computes the measurement window from a prior cluster snapshot.
-func (cl *Cluster) Since(prev Snapshot) Delta { return delta(prev, cl.Snap()) }
+// Since computes the measurement window from a prior snapshot.
+func (cl *Cluster) Since(prev Snapshot) Delta {
+	cur := cl.Snap()
+	n := cur.Net.Sub(prev.Net)
+	d := cur.Disk.Sub(prev.Disk)
+	return Delta{
+		Messages:    n.Messages,
+		Frames:      n.Frames,
+		Bytes:       n.Bytes(),
+		Retransmits: n.Retransmits,
+		DiskOps:     d.Ops(),
+		Elapsed:     cur.Time - prev.Time,
+		ClientBusy:  cur.ClientBusy - prev.ClientBusy,
+		ServerBusy:  cur.ServerBusy - prev.ServerBusy,
+	}
+}

@@ -54,7 +54,7 @@ func clusterMkdirs(t *testing.T, cl *Cluster, n int) {
 func TestClusterHybridBackground(t *testing.T) {
 	run := func(bg []fleet.Cohort) (*Cluster, []byte) {
 		var buf bytes.Buffer
-		cl, err := NewCluster(ClusterConfig{
+		cl, err := NewCluster(Config{
 			Kind:         NFSv3,
 			Clients:      2,
 			DeviceBlocks: 8192,
@@ -123,7 +123,7 @@ func TestClusterHybridBackground(t *testing.T) {
 func TestClusterHybridDeterministic(t *testing.T) {
 	run := func() []byte {
 		var buf bytes.Buffer
-		cl, err := NewCluster(ClusterConfig{
+		cl, err := NewCluster(Config{
 			Kind:         ISCSI,
 			Clients:      2,
 			DeviceBlocks: 8192,
@@ -155,7 +155,7 @@ func TestClusterTelemetrySampling(t *testing.T) {
 		per[i] = ClientNet{RTT: 10 * time.Millisecond}
 	}
 	var buf bytes.Buffer
-	cl, err := NewCluster(ClusterConfig{
+	cl, err := NewCluster(Config{
 		Kind:           NFSv3,
 		Clients:        8,
 		DeviceBlocks:   8192,
@@ -224,7 +224,7 @@ func TestClusterTelemetrySampling(t *testing.T) {
 func TestClusterTelemetrySamplingDisabled(t *testing.T) {
 	for _, fanIn := range []int{-1, 8} {
 		var buf bytes.Buffer
-		cl, err := NewCluster(ClusterConfig{
+		cl, err := NewCluster(Config{
 			Kind:           NFSv3,
 			Clients:        8,
 			DeviceBlocks:   8192,

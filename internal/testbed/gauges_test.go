@@ -19,7 +19,7 @@ func gaugeRun(t *testing.T, kind Kind, tr Transport) ([]byte, *health.Monitor) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := NewCluster(ClusterConfig{
+	cl, err := NewCluster(Config{
 		Kind:         kind,
 		Clients:      2,
 		DeviceBlocks: 8192,
@@ -131,7 +131,7 @@ func TestGaugesSurviveColdCache(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cl, err := NewCluster(ClusterConfig{
+			cl, err := NewCluster(Config{
 				Kind:         kind,
 				Clients:      1,
 				DeviceBlocks: 8192,

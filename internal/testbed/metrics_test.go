@@ -160,7 +160,7 @@ func TestColdCacheCountersStayExact(t *testing.T) {
 func TestClusterMetricsStream(t *testing.T) {
 	run := func() []byte {
 		var buf bytes.Buffer
-		cl, err := NewCluster(ClusterConfig{
+		cl, err := NewCluster(Config{
 			Kind:         NFSv3,
 			Clients:      2,
 			DeviceBlocks: 8192,
@@ -228,14 +228,14 @@ func TestSlotTableBindsFlushPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb.RPC.SlotEntries = slots
+		tb.RPC().SlotEntries = slots
 		if err := tb.WriteFile("/big", make([]byte, 2<<20)); err != nil {
 			t.Fatal(err)
 		}
 		if err := tb.Drain(); err != nil {
 			t.Fatal(err)
 		}
-		return tb.RPC.Stats().SlotWaits
+		return tb.RPC().Stats().SlotWaits
 	}
 	if w := run(sunrpc.DefaultSlotEntries); w != 0 {
 		t.Fatalf("default slot table queued %d calls under write-behind", w)

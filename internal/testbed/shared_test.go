@@ -15,7 +15,7 @@ import (
 func sharedCluster(t *testing.T, kind Kind, tr Transport, n int, link netqueue.Config,
 	perClient []ClientNet, sink *metrics.Sink) *Cluster {
 	t.Helper()
-	cl, err := NewCluster(ClusterConfig{
+	cl, err := NewCluster(Config{
 		Kind:         kind,
 		Clients:      n,
 		DeviceBlocks: 16384,
@@ -213,7 +213,7 @@ func TestClusterStragglerTags(t *testing.T) {
 // (no Shared link) still gives each client its own network and tags.
 func TestClusterPerClientWithoutBottleneck(t *testing.T) {
 	var buf bytes.Buffer
-	cl, err := NewCluster(ClusterConfig{
+	cl, err := NewCluster(Config{
 		Kind:         ISCSI,
 		Clients:      2,
 		DeviceBlocks: 16384,
@@ -235,17 +235,43 @@ func TestClusterPerClientWithoutBottleneck(t *testing.T) {
 	}
 }
 
-// TestClusterConfigValidation rejects malformed heterogeneity configs.
+// TestClusterConfigValidation rejects malformed configs and accepts
+// well-formed ones, whichever constructor they go through.
 func TestClusterConfigValidation(t *testing.T) {
-	bad := []ClusterConfig{
-		{Kind: NFSv3, Clients: 1, PerClient: []ClientNet{{}, {}}},
-		{Kind: NFSv3, Clients: 2, PerClient: []ClientNet{{LossRate: 1.5}}},
-		{Kind: NFSv3, Clients: 2, PerClient: []ClientNet{{RTT: -time.Second}}},
-		{Kind: NFSv3, Clients: 2, Shared: &netqueue.Config{Bandwidth: -1}},
+	cases := []struct {
+		cfg    Config
+		single bool // build through New instead of NewCluster
+		ok     bool
+	}{
+		{cfg: Config{Kind: NFSv3, Clients: 1, PerClient: []ClientNet{{}, {}}}},
+		{cfg: Config{Kind: NFSv3, Clients: 2, PerClient: []ClientNet{{LossRate: 1.5}}}},
+		{cfg: Config{Kind: NFSv3, Clients: 2, PerClient: []ClientNet{{RTT: -time.Second}}}},
+		{cfg: Config{Kind: NFSv3, Clients: 2, Shared: &netqueue.Config{Bandwidth: -1}}},
+		{cfg: Config{Kind: NFSv3, Clients: 2}, single: true},
+		// NoAtime is a cluster-wide knob: every client's ext3 gets it.
+		{cfg: Config{Kind: ISCSI, Clients: 2, NoAtime: true, DeviceBlocks: 16384}, ok: true},
 	}
-	for i, cfg := range bad {
-		if _, err := NewCluster(cfg); err == nil {
-			t.Errorf("config %d accepted, want error", i)
+	for i, c := range cases {
+		var cl *Cluster
+		var err error
+		if c.single {
+			var tb *Testbed
+			if tb, err = New(c.cfg); err == nil {
+				cl = tb.Cluster
+			}
+		} else {
+			cl, err = NewCluster(c.cfg)
+		}
+		if (err == nil) != c.ok {
+			t.Errorf("config %d: err = %v, want ok = %v", i, err, c.ok)
+		}
+		if err != nil {
+			continue
+		}
+		for _, cc := range cl.Clients {
+			if st, ok := cc.Stack.(*iscsiStack); ok && st.hw.clientFSOpts().NoAtime != c.cfg.NoAtime {
+				t.Errorf("config %d: client %d mounts with NoAtime = %v", i, cc.ID, !c.cfg.NoAtime)
+			}
 		}
 	}
 }

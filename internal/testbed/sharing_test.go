@@ -12,7 +12,7 @@ import (
 // and after the window closes the lock table behaves normally again.
 func TestLockGracePeriod(t *testing.T) {
 	const grace = 500 * time.Millisecond
-	cl, err := NewCluster(ClusterConfig{
+	cl, err := NewCluster(Config{
 		Kind:    NFSv3,
 		Clients: 2,
 		Sharing: &SharingConfig{GracePeriod: grace},
@@ -108,7 +108,7 @@ func TestLockGracePeriod(t *testing.T) {
 // not live cache coherence, and the open's revalidation is what makes
 // the fresh bytes visible.
 func TestSharedFileVisibility(t *testing.T) {
-	cl, err := NewCluster(ClusterConfig{
+	cl, err := NewCluster(Config{
 		Kind:    NFSv3,
 		Clients: 2,
 		Sharing: &SharingConfig{},
@@ -156,7 +156,7 @@ func TestSharedFileVisibility(t *testing.T) {
 // writes (ErrBusy) while allowing foreign reads, and release restores
 // access.
 func TestSharedLUNReservations(t *testing.T) {
-	cl, err := NewCluster(ClusterConfig{
+	cl, err := NewCluster(Config{
 		Kind:    ISCSI,
 		Clients: 2,
 		Sharing: &SharingConfig{},

@@ -20,8 +20,8 @@ import (
 // Stack is the protocol-specific half of one client: the client-visible
 // filesystem plus the control operations a harness needs around it. Both
 // the NFS path (v2/v3/v4 over SunRPC) and the iSCSI path (local ext3 on a
-// remote block device) implement it, so the testbed and the multi-client
-// cluster assemble stacks without protocol switches.
+// remote block device) implement it, so the cluster assembles stacks
+// without protocol switches.
 //
 // All methods take and return virtual times; the caller owns the clock.
 type Stack interface {
@@ -35,8 +35,9 @@ type Stack interface {
 	// Drain flushes all dirty client state to stable server storage and
 	// returns the quiescence time (the paper's measurement boundary).
 	Drain(now time.Duration) (time.Duration, error)
-	// ColdCache empties every cache the stack controls — client remount
-	// plus, for NFS, a server restart (Section 4.1's protocol).
+	// ColdCache empties every cache the client controls by remounting
+	// (Section 4.1's protocol). An NFS server's cache is shared, so the
+	// cluster restarts the server once before calling it.
 	ColdCache(now time.Duration) (time.Duration, error)
 	// Counters reports protocol-level statistics beyond the shared
 	// network/disk/CPU counters.
@@ -79,8 +80,7 @@ func (h hw) clientFSOpts() ext3.Options {
 
 // nfsServer is the shared server half of one or more NFS stacks: the
 // export device, the server ext3 and the protocol server, all charging one
-// server CPU. A single-client testbed owns one; a cluster shares one among
-// all its clients. fsBase carries the counters of export filesystems a
+// server CPU. A cluster shares one among all its clients. fsBase carries the counters of export filesystems a
 // restart has retired, keeping the cumulative counters monotonic for
 // telemetry.
 type nfsServer struct {
@@ -251,21 +251,12 @@ func (st *nfsStack) Drain(now time.Duration) (time.Duration, error) {
 	return st.srv.sync(done)
 }
 
-// remount drops the client's caches and re-mounts against the running
-// server — the client half of the cold-cache protocol. A cluster uses it
-// after restarting the shared server once.
-func (st *nfsStack) remount(now time.Duration) (time.Duration, error) {
-	st.client.DropCaches()
-	return st.client.Mount(now)
-}
-
+// ColdCache is the client half of the cold-cache protocol: drop the
+// client's caches and re-mount against the server, which the cluster has
+// already restarted.
 func (st *nfsStack) ColdCache(now time.Duration) (time.Duration, error) {
 	st.client.DropCaches()
-	done, err := st.srv.restart(now)
-	if err != nil {
-		return now, err
-	}
-	return st.client.Mount(done)
+	return st.client.Mount(now)
 }
 
 // ---- iSCSI ----
@@ -395,4 +386,71 @@ func (st *iscsiStack) ColdCache(now time.Duration) (time.Duration, error) {
 	}
 	st.fs = fs
 	return done, nil
+}
+
+// ---- protocol handles ----
+
+// The accessors below expose the protocol objects behind a client's stack
+// for experiments that tune or break them. Each reads through the stack on
+// every call, so a handle can never go stale across the rebuilds that
+// cold-cache and fault recovery perform; each returns nil when the client
+// runs the other protocol (or, for Initiator and Session, the other wire
+// model).
+
+// RPC returns the NFS client's SunRPC transport.
+func (c *Client) RPC() *sunrpc.Client {
+	if st, ok := c.Stack.(*nfsStack); ok {
+		return st.rpc
+	}
+	return nil
+}
+
+// NFSClient returns the mounted NFS client.
+func (c *Client) NFSClient() *nfs.Client {
+	if st, ok := c.Stack.(*nfsStack); ok {
+		return st.client
+	}
+	return nil
+}
+
+// NFSServer returns the NFS protocol server the client mounts.
+func (c *Client) NFSServer() *nfs.Server {
+	if st, ok := c.Stack.(*nfsStack); ok {
+		return st.srv.srv
+	}
+	return nil
+}
+
+// Target returns the iSCSI target serving the client's LUN.
+func (c *Client) Target() *iscsi.Target {
+	if st, ok := c.Stack.(*iscsiStack); ok {
+		return st.target
+	}
+	return nil
+}
+
+// ClientFS returns the client-side ext3 mounted on the iSCSI volume.
+func (c *Client) ClientFS() *ext3.FS {
+	if st, ok := c.Stack.(*iscsiStack); ok {
+		return st.fs
+	}
+	return nil
+}
+
+// Initiator returns the fluid-path iSCSI initiator.
+func (c *Client) Initiator() *iscsi.Initiator {
+	if st, ok := c.Stack.(*iscsiStack); ok {
+		ep, _ := st.endpoint.(*iscsi.Initiator)
+		return ep
+	}
+	return nil
+}
+
+// Session returns the MC/S iSCSI session used under TransportTCP.
+func (c *Client) Session() *iscsi.Session {
+	if st, ok := c.Stack.(*iscsiStack); ok {
+		ep, _ := st.endpoint.(*iscsi.Session)
+		return ep
+	}
+	return nil
 }

@@ -1,31 +1,28 @@
 // Package testbed assembles the paper's two experimental configurations
-// (Figure 2): a client driving an NFS v2/v3/v4 server, and a client whose
-// local ext3 filesystem sits on an iSCSI volume. Both share the same
+// (Figure 2): clients driving an NFS v2/v3/v4 server, and clients whose
+// local ext3 filesystems sit on iSCSI volumes. Both share the same
 // simulated hardware: a Gigabit Ethernet link, a 4+p RAID-5 array of 10K
-// RPM drives, a dual-CPU server and a uniprocessor client.
+// RPM drives, a dual-CPU server and uniprocessor clients.
 //
-// The protocol-specific plumbing lives behind the Stack interface
-// (stack.go); the per-client machine and syscall surface is Client
-// (client.go); Cluster (cluster.go) scales the same parts to N concurrent
-// clients sharing one server.
-//
-// The testbed also provides the paper's measurement controls: cold-cache
-// emulation (unmount/remount plus server restart), warm-cache gaps, drain
-// points, and delta-snapshots of every counter.
+// There is one harness. Cluster (cluster.go) builds N clients sharing
+// one server from one Config, registers their telemetry, and provides
+// the paper's measurement controls: cold-cache emulation (server restart
+// plus client remount), warm-cache gaps, drain points, and
+// delta-snapshots of every counter. Testbed is the one-client view of a
+// Cluster that the paper's single-client tables and figures use. The
+// protocol-specific plumbing lives behind the Stack interface (stack.go);
+// the per-client machine and syscall surface is Client (client.go).
 package testbed
 
 import (
 	"fmt"
 	"time"
 
-	"repro/internal/blockdev"
-	"repro/internal/ext3"
-	"repro/internal/iscsi"
+	"repro/internal/fleet"
+	"repro/internal/health"
 	"repro/internal/metrics"
-	"repro/internal/nfs"
-	"repro/internal/sim"
+	"repro/internal/netqueue"
 	"repro/internal/simnet"
-	"repro/internal/sunrpc"
 	"repro/internal/tcpsim"
 	"repro/internal/tracing"
 )
@@ -104,29 +101,35 @@ func (t Transport) String() string {
 	}
 }
 
-// Config parameterizes a testbed.
+// Config parameterizes a cluster: Clients machines driving one server
+// over a shared Gigabit segment. The zero value of every field is a
+// working default; New takes the same Config with Clients at most 1.
 type Config struct {
 	Kind Kind
-	// DeviceBlocks is the logical volume size in 4 KB blocks
-	// (default 524288 = 2 GB).
+	// Clients is the number of concurrent client machines (default 1).
+	Clients int
+	// DeviceBlocks sizes each client's iSCSI LUN, or the shared NFS
+	// export, in 4 KB blocks (default 524288 = 2 GB).
 	DeviceBlocks int64
 	// RTT overrides the LAN round-trip time (default ~200 us; the
 	// latency sweep raises it).
 	RTT time.Duration
+	// LossRate injects frame loss on every client's path (failure and
+	// WAN testing; per-client overrides via PerClient).
+	LossRate float64
 	// CommitInterval overrides ext3's journal commit interval (5 s).
 	CommitInterval time.Duration
 	// NoAtime disables access-time updates (ablation).
 	NoAtime bool
-	// ClientCacheBlocks bounds the client cache (default 131072 = 512 MB,
-	// the testbed client's RAM).
+	// ClientCacheBlocks bounds each client cache (default 131072 =
+	// 512 MB, the testbed client's RAM).
 	ClientCacheBlocks int
 	// ServerCacheBlocks bounds the server cache (default 262144 = 1 GB).
 	ServerCacheBlocks int
 	// Seed for loss injection and workloads.
 	Seed int64
-	// LossRate injects frame loss (failure testing).
-	LossRate float64
-	// Transport selects the wire model (default TransportFluid).
+	// Transport selects the wire model every client uses (default
+	// TransportFluid).
 	Transport Transport
 	// Conns is the iSCSI MC/S connection count under TransportTCP
 	// (default 1; NFS always uses a single connection).
@@ -134,18 +137,71 @@ type Config struct {
 	// WindowBytes caps each TCP connection's window — the rmem/wmem
 	// tuning knob from Section 3.1 (default 64 KB).
 	WindowBytes int
-	// Metrics, when non-nil, receives the testbed's telemetry: every
-	// layer's counter source is registered on it at construction and
+	// Shared, when non-nil, multiplexes every client's traffic through
+	// one capacity-limited bottleneck (see internal/netqueue): each
+	// client gets its own simnet network — carrying its RTT and loss —
+	// admitted through one shared drop-tail (or fair-queued) pipe, so
+	// N-client saturation comes from the wire, not per-client pipeline
+	// depth. Nil keeps today's independent-links model byte-identically.
+	Shared *netqueue.Config
+	// PerClient gives client i its own RTT/loss (stragglers). Entries
+	// beyond it, and zero fields, inherit the cluster defaults. Setting
+	// it switches the cluster to per-client networks even without a
+	// Shared bottleneck, and tags each client's metric sources with its
+	// rtt/loss so straggler attribution is a -by client query.
+	PerClient []ClientNet
+	// Background, when non-empty, adds fluid client cohorts: their
+	// calibrated demand is solved to a fleet operating point
+	// (internal/fleet) and injected as background load on the server CPU,
+	// the array and the shared bottleneck link, so the Clients mechanistic
+	// clients run against residual capacity. Fleet-level aggregates stream
+	// as metrics.SubsysFleet counters.
+	Background []fleet.Cohort
+	// CapacityClients sizes the iSCSI storage array as if this many
+	// clients attached (default Clients plus the Background population),
+	// so a hybrid run's mechanistic LUNs see the seek distances a full
+	// mechanistic fleet would. (The NFS export is sized by DeviceBlocks
+	// directly; scale that instead.)
+	CapacityClients int
+	// TelemetryFanIn bounds per-client metric sources: above it, only a
+	// stratified sample of clients per heterogeneity stratum registers
+	// sources, tagged sampled/population/sample so summaries re-weight
+	// (docs/METRICS.md). 0 means DefaultTelemetryFanIn; negative disables
+	// sampling and registers every client.
+	TelemetryFanIn int
+	// Metrics, when non-nil, receives the telemetry: shared hardware and
+	// per-client protocol sources are registered at construction and
 	// EmitSample streams the deltas (see docs/METRICS.md). Events are
 	// additionally tagged with the wire transport.
 	Metrics *metrics.Recorder
 	// Tracer, when non-nil, threads virtual-time span tracing through
-	// every layer: syscall roots, cache decisions, RPC/iSCSI exchanges,
-	// wire frames, CPU service and disk phases (see docs/TRACING.md).
+	// every client's stack and the shared hardware: syscall roots
+	// carrying the issuing client's id, cache decisions, RPC/iSCSI
+	// exchanges, wire frames, CPU service and disk phases (see
+	// docs/TRACING.md). The scheduler runs one client's syscall to
+	// completion per step, so one tracer serves all.
 	Tracer *tracing.Tracer
+	// Health, when non-nil, attaches a virtual-time health monitor: the
+	// cluster registers its per-station gauge sources on it (see
+	// gauges.go) and Run spawns its scrape loop alongside the drivers,
+	// so gauge and alert events stream through Metrics in virtual time
+	// (docs/HEALTH.md). Alert state is per-monitor, so give each
+	// experiment cell its own. Nil is the inert state: no gauge sources,
+	// no scrape process, byte-identical streams.
+	Health *health.Monitor
+	// Sharing, when non-nil, enables cross-client sharing: an NFS
+	// cluster gets a server-side byte-range lock manager (and, with
+	// Delegation, the v4 lease machinery); an iSCSI cluster gets one
+	// extra raw LUN exported by every client's target under a shared
+	// persistent-reservation table (see sharing.go). Nil keeps all
+	// existing configurations byte-identical.
+	Sharing *SharingConfig
 }
 
 func (c *Config) fill() {
+	if c.Clients <= 0 {
+		c.Clients = 1
+	}
 	if c.DeviceBlocks == 0 {
 		c.DeviceBlocks = 524288
 	}
@@ -169,13 +225,38 @@ func (c *Config) fill() {
 	}
 }
 
-// validate rejects transport combinations no real deployment has.
-func (c Config) validate() error {
+// validate rejects transport combinations no real deployment has and
+// unusable cluster parameters. It runs on a filled config.
+func (c *Config) validate() error {
 	if c.Kind == ISCSI && c.Transport == TransportUDP {
 		return fmt.Errorf("testbed: iSCSI requires TCP (no UDP transport exists)")
 	}
 	if c.Conns > 1 && (c.Transport != TransportTCP || c.Kind != ISCSI) {
 		return fmt.Errorf("testbed: multiple connections (MC/S) require Kind=ISCSI and TransportTCP")
+	}
+	if len(c.PerClient) > c.Clients {
+		return fmt.Errorf("testbed: %d PerClient entries for %d clients", len(c.PerClient), c.Clients)
+	}
+	for i, p := range c.PerClient {
+		if p.RTT < 0 {
+			return fmt.Errorf("testbed: client %d negative RTT", i)
+		}
+		if p.LossRate < 0 || p.LossRate >= 1 {
+			return fmt.Errorf("testbed: client %d loss rate %g out of [0, 1)", i, p.LossRate)
+		}
+	}
+	for _, co := range c.Background {
+		if err := co.Validate(); err != nil {
+			return err
+		}
+	}
+	if c.Sharing != nil {
+		if err := c.Sharing.validate(c.Kind); err != nil {
+			return err
+		}
+	}
+	if c.Shared != nil {
+		return c.Shared.Validate()
 	}
 	return nil
 }
@@ -199,212 +280,52 @@ func (c Config) network() *simnet.Network {
 	})
 }
 
-// Testbed is one assembled client/server configuration: a single Client
-// plus the server-side hardware it drives.
-type Testbed struct {
-	*Client
-
-	Kind Kind
-	Cfg  Config
-	Net  *simnet.Network
-
-	// ClientCPU is the 1 GHz client processor; ServerCPU the server's
-	// two 933 MHz processors folded into one resource.
-	ClientCPU *sim.CPU
-	ServerCPU *sim.CPU
-
-	dev *blockdev.Local
-
-	// iSCSI internals. Initiator carries the fluid path; Session the
-	// MC/S TCP path (exactly one is non-nil for an iSCSI testbed).
-	Initiator *iscsi.Initiator
-	Session   *iscsi.Session
-	Target    *iscsi.Target
-	ClientFS  *ext3.FS // client-side ext3 (iSCSI only)
-
-	// NFS internals.
-	NFSClient *nfs.Client
-	NFSServer *nfs.Server
-	ServerFS  *ext3.FS // server-side ext3 (NFS only)
-	RPC       *sunrpc.Client
-
-	rec *metrics.Recorder
-}
-
-// New builds and mounts a testbed.
-func New(cfg Config) (*Testbed, error) {
-	cfg.fill()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	net := cfg.network()
-	clientCPU := sim.NewCPU(1.0)
-	serverCPU := sim.NewCPU(1.87) // 2 x 933 MHz
-
-	dev := blockdev.NewTestbedArray(cfg.DeviceBlocks)
-	if cfg.Tracer != nil {
-		net.SetTracer(cfg.Tracer)
-		clientCPU.SetTracer(cfg.Tracer, tracing.LayerCPUClient)
-		serverCPU.SetTracer(cfg.Tracer, tracing.LayerCPUServer)
-		dev.RAID().SetTracer(cfg.Tracer)
-	}
-	if _, err := ext3.Mkfs(0, dev, ext3.Options{CommitInterval: cfg.CommitInterval}); err != nil {
-		return nil, fmt.Errorf("testbed: mkfs: %w", err)
-	}
-
-	h := hw{net: net, cpu: clientCPU, cfg: cfg}
-	var st Stack
-	switch cfg.Kind {
-	case ISCSI:
-		st = &iscsiStack{hw: h, target: iscsi.NewTarget("iqn.2004.repro:vol0", dev, serverCPU)}
-	default:
-		st = &nfsStack{kind: cfg.Kind, hw: h, srv: &nfsServer{dev: dev, cpu: serverCPU, cfg: cfg}}
-	}
-	c := newClient(0, st)
-	c.CPU = clientCPU
-	c.Tracer = cfg.Tracer
-	tb := &Testbed{
-		Client:    c,
-		Kind:      cfg.Kind,
-		Cfg:       cfg,
-		Net:       net,
-		ClientCPU: clientCPU,
-		ServerCPU: serverCPU,
-		dev:       dev,
-	}
-	if err := c.mount(); err != nil {
-		return nil, err
-	}
-	tb.syncCompat()
-	tb.rec = cfg.Metrics.With(metrics.Tags{"transport": cfg.Transport.String()})
-	tb.instrument()
-	return tb, nil
-}
-
-// instrument registers every counter source on the testbed's recorder:
-// shared hardware (link, array, the two processors) plus the client's
-// protocol stack. Closures read through the stack at sample time, so
-// sources survive the identity changes ColdCache causes; the recorder's
-// reset rule absorbs rebuilt (re-zeroed) protocol clients.
-func (tb *Testbed) instrument() {
-	tb.rec.Register(metrics.SubsysNet, nil, tb.Net.Counters)
-	tb.rec.Register(metrics.SubsysDisk, nil, tb.dev.Counters)
-	tb.rec.Register(metrics.SubsysCPU, metrics.Tags{"host": "server"}, tb.ServerCPU.Counters)
-	registerClientSources(tb.rec, tb.Client, nil)
-	registerServerSources(tb.rec, tb.Client.Stack)
-}
-
-// Metrics exposes the testbed's recorder (nil when un-instrumented), so
-// harnesses can emit marks and result points into the same stream.
-func (tb *Testbed) Metrics() *metrics.Recorder { return tb.rec }
-
-// EmitSample streams every registered counter's delta since the previous
-// sample, stamped at the client clock — one closed measurement window in
-// the telemetry stream.
-func (tb *Testbed) EmitSample() { tb.rec.Sample(tb.Clock.Now()) }
-
-// syncCompat refreshes the exported protocol-internal handles from the
-// stack (their identities can change across ColdCache).
-func (tb *Testbed) syncCompat() {
-	switch st := tb.Stack.(type) {
-	case *iscsiStack:
-		tb.Initiator, tb.Session = nil, nil
-		switch ep := st.endpoint.(type) {
-		case *iscsi.Initiator:
-			tb.Initiator = ep
-		case *iscsi.Session:
-			tb.Session = ep
+// clientNetwork builds client i's own network: the config's wire plus
+// its PerClient override.
+func (c Config) clientNetwork(i int) *simnet.Network {
+	// Decorrelate per-client loss RNGs (one shared network draws from a
+	// single stream; N networks must not mirror each other).
+	c.Seed += int64(i+1) * 7919
+	if i < len(c.PerClient) {
+		if p := c.PerClient[i]; p.RTT > 0 {
+			c.RTT = p.RTT
 		}
-		tb.Target = st.target
-		tb.ClientFS = st.fs
-	case *nfsStack:
-		tb.RPC = st.rpc
-		tb.NFSClient = st.client
-		tb.NFSServer = st.srv.srv
-		tb.ServerFS = st.srv.fs
+		if p := c.PerClient[i]; p.LossRate > 0 {
+			c.LossRate = p.LossRate
+		}
 	}
+	return c.network()
 }
 
-// SetRTT adjusts network latency mid-run (the NISTNet knob of Figure 6).
-func (tb *Testbed) SetRTT(rtt time.Duration) { tb.Net.SetRTT(rtt) }
+// Testbed is the one-client view of a Cluster that the paper's
+// single-client experiments run on: the cluster's shared hardware and
+// measurement controls plus its only Client, whose syscall surface it
+// exposes directly.
+type Testbed struct {
+	*Cluster
+	*Client
+}
+
+// New builds and mounts a one-client testbed. cfg.Clients must be 0 or 1;
+// NewCluster builds more.
+func New(cfg Config) (*Testbed, error) {
+	if cfg.Clients > 1 {
+		return nil, fmt.Errorf("testbed: New builds one client, not %d (use NewCluster)", cfg.Clients)
+	}
+	cl, err := NewCluster(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Testbed{Cluster: cl, Client: cl.Clients[0]}, nil
+}
 
 // Drain brings the system to quiescence: all dirty client state flushed
 // and durable at the server, the virtual clock advanced past all
 // background work. This is the measurement boundary for the paper's
-// message counts. A crashed client filesystem has nothing to drain.
-func (tb *Testbed) Drain() error { return tb.Client.Drain() }
+// message counts. Cluster and Client both have a Drain, so Testbed names
+// the cluster's, which also aligns the clocks (a no-op for one client).
+func (tb *Testbed) Drain() error { return tb.Cluster.Drain() }
 
-// ColdCache empties every cache: the client filesystem is unmounted and
-// remounted and the server restarted, the protocol the paper uses before
-// each cold-cache measurement (Section 4.1). On an instrumented testbed
-// the quiesced pre-reset counters are flushed into a sample first, so the
-// rebuild (which re-zeroes protocol clients) can never lose deltas.
-func (tb *Testbed) ColdCache() error {
-	if err := tb.Drain(); err != nil {
-		return err
-	}
-	tb.EmitSample()
-	if err := tb.Client.ColdCache(); err != nil {
-		return err
-	}
-	tb.syncCompat()
-	return nil
-}
-
-// Snapshot captures every counter for delta measurement.
-type Snapshot struct {
-	Net                    metrics.NetStats
-	Disk                   metrics.DiskStats
-	RPC                    sunrpc.Stats
-	ClientBusy, ServerBusy time.Duration
-	Time                   time.Duration
-}
-
-// Snap returns the current counters.
-func (tb *Testbed) Snap() Snapshot {
-	s := Snapshot{
-		Net:        tb.Net.Stats(),
-		Disk:       tb.dev.Stats(),
-		ClientBusy: tb.ClientCPU.Busy(),
-		ServerBusy: tb.ServerCPU.Busy(),
-		Time:       tb.Clock.Now(),
-	}
-	if tb.RPC != nil {
-		s.RPC = tb.RPC.Stats()
-	}
-	return s
-}
-
-// Delta is the difference between two snapshots: one measurement window.
-type Delta struct {
-	Messages    int64
-	Frames      int64
-	Bytes       int64
-	Retransmits int64
-	DiskOps     int64
-	Elapsed     time.Duration
-	ClientBusy  time.Duration
-	ServerBusy  time.Duration
-}
-
-// Since computes the measurement window from a prior snapshot.
-func (tb *Testbed) Since(prev Snapshot) Delta {
-	cur := tb.Snap()
-	return delta(prev, cur)
-}
-
-// delta subtracts two snapshots.
-func delta(prev, cur Snapshot) Delta {
-	n := cur.Net.Sub(prev.Net)
-	d := cur.Disk.Sub(prev.Disk)
-	return Delta{
-		Messages:    n.Messages,
-		Frames:      n.Frames,
-		Bytes:       n.Bytes(),
-		Retransmits: n.Retransmits,
-		DiskOps:     d.Ops(),
-		Elapsed:     cur.Time - prev.Time,
-		ClientBusy:  cur.ClientBusy - prev.ClientBusy,
-		ServerBusy:  cur.ServerBusy - prev.ServerBusy,
-	}
-}
+// Link creates a hard link. Cluster's bottleneck Link field shadows the
+// client syscall, so Testbed names it.
+func (tb *Testbed) Link(oldpath, newpath string) error { return tb.Client.Link(oldpath, newpath) }

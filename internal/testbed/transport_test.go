@@ -61,7 +61,7 @@ func TestTransportValidation(t *testing.T) {
 	if _, err := New(Config{Kind: ISCSI, Transport: TransportFluid, Conns: 4}); err == nil {
 		t.Fatal("fluid MC/S accepted")
 	}
-	if _, err := NewCluster(ClusterConfig{Kind: ISCSI, Clients: 2, Transport: TransportUDP}); err == nil {
+	if _, err := NewCluster(Config{Kind: ISCSI, Clients: 2, Transport: TransportUDP}); err == nil {
 		t.Fatal("cluster iSCSI over UDP accepted")
 	}
 }
@@ -79,7 +79,7 @@ func TestNFSUDPTransportForced(t *testing.T) {
 	if err := tb.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if tb.RPC.Stats().Retransmits == 0 {
+	if tb.RPC().Stats().Retransmits == 0 {
 		t.Fatal("5% frame loss on the UDP transport produced no RPC retransmissions")
 	}
 	if tb.Client.Stack.Counters().TCP.Segments != 0 {
@@ -91,17 +91,17 @@ func TestNFSUDPTransportForced(t *testing.T) {
 // experiment code and the fluid initiator is not built.
 func TestSessionExportedOnTestbed(t *testing.T) {
 	tb := mkTCP(t, ISCSI, 4)
-	if tb.Session == nil || tb.Initiator != nil {
-		t.Fatalf("session=%v initiator=%v, want session-only", tb.Session, tb.Initiator)
+	if tb.Session() == nil || tb.Initiator() != nil {
+		t.Fatalf("session=%v initiator=%v, want session-only", tb.Session(), tb.Initiator())
 	}
-	if tb.Session.Conns() != 4 {
-		t.Fatalf("conns = %d", tb.Session.Conns())
+	if tb.Session().Conns() != 4 {
+		t.Fatalf("conns = %d", tb.Session().Conns())
 	}
 }
 
 // TestTCPClusterRuns: N clients over TCP transports share one server.
 func TestTCPClusterRuns(t *testing.T) {
-	cl, err := NewCluster(ClusterConfig{
+	cl, err := NewCluster(Config{
 		Kind:         ISCSI,
 		Clients:      3,
 		DeviceBlocks: 16384,

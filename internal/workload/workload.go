@@ -64,7 +64,7 @@ func measure(tb *testbed.Testbed, name string, run func() error) (Result, error)
 		Messages:  d.Messages,
 		Bytes:     d.Bytes,
 		ServerCPU: tb.ServerCPU.UtilizationPercentile(0.95, tb.Clock.Now()),
-		ClientCPU: tb.ClientCPU.UtilizationPercentile(0.95, tb.Clock.Now()),
+		ClientCPU: tb.CPU.UtilizationPercentile(0.95, tb.Clock.Now()),
 	}
 	tb.EmitSample()
 	tb.Metrics().Point(tb.Clock.Now(), metrics.SubsysRun, wl, map[string]float64{
