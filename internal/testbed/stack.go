@@ -80,9 +80,9 @@ func (h hw) clientFSOpts() ext3.Options {
 
 // nfsServer is the shared server half of one or more NFS stacks: the
 // export device, the server ext3 and the protocol server, all charging one
-// server CPU. A cluster shares one among all its clients. fsBase carries the counters of export filesystems a
-// restart has retired, keeping the cumulative counters monotonic for
-// telemetry.
+// server CPU. A cluster shares one among all its clients. fsBase carries
+// the counters of export filesystems a restart has retired, keeping the
+// cumulative counters monotonic for telemetry.
 type nfsServer struct {
 	dev *blockdev.Local
 	cpu *sim.CPU
